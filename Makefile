@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzControllerInvariants -fuzztime=30s ./internal/health
 	$(GO) test -run=^$$ -fuzz=FuzzAliasTable -fuzztime=30s ./internal/dispatch
 	$(GO) test -run=^$$ -fuzz=FuzzWireDecode -fuzztime=30s ./internal/wire
+	$(GO) test -run=^$$ -fuzz=FuzzRecoverSegment -fuzztime=30s ./internal/wal
 
 # Chaos gate: the supervise fault-plan matrix, the health controller's
 # 32-seed replication suite (ejection budgets, zero false positives,
@@ -80,9 +81,7 @@ bench:
 
 # Record the round-engine throughput baseline (fresh engines vs pooled
 # scratch, serial vs parallel) as stable JSON. Commit BENCH_rounds.json
-# to track regressions; note the committed file also carries a
-# RoundsBaseline entry measured on the pre-engine code, which a
-# regeneration drops.
+# to track regressions.
 bench-rounds:
 	$(GO) test -run '^$$' -bench 'BenchmarkRounds' -benchmem -benchtime 5x ./internal/rounds > .bench_raw.txt
 	$(GO) run ./cmd/benchjson < .bench_raw.txt > BENCH_rounds.json

@@ -26,23 +26,12 @@ type Config struct {
 	// seconds (default 0.001).
 	HopDelay float64
 	// Faults injects message- and node-level faults into the round
-	// (see package faults). Nil injects nothing.
+	// (see package faults): fail-stop crashes cut off a node's whole
+	// subtree (parents time out and proceed with partial aggregates),
+	// Byzantine nodes over-claim their payments for the parent audit
+	// to catch. Nil injects nothing. The plan must name nodes in
+	// [0, n) and must not crash or silence the coordinator (node 0).
 	Faults faults.Injector
-	// CheatPayments marks nodes that over-claim their self-computed
-	// payment by 10% — the fault the parent audit must catch.
-	//
-	// Deprecated: a thin adapter over faults.Byzantine; prefer
-	// composing a fault plan in Faults.
-	CheatPayments []int
-	// Crashed marks fail-stop nodes: they never respond, cutting off
-	// their whole subtree. Parents time out waiting for them and
-	// proceed with partial aggregates; the coordinator learns the
-	// missing set from the convergecast and the round completes over
-	// the reachable nodes. The root (node 0) cannot crash.
-	//
-	// Deprecated: a thin adapter over faults.Crash; prefer composing
-	// a fault plan in Faults.
-	Crashed []int
 	// Timeout is how long a parent waits for a child's aggregate
 	// before giving up, in simulated seconds. The default is a
 	// cascading depth-aware budget (4 hops beyond the largest child
@@ -103,25 +92,21 @@ type Result struct {
 //     its child's payment from the child's disclosed (b, ť) and
 //     flagging mismatches.
 //
-// All messages travel through the fault layer (Config.Faults plus the
-// deprecated knob adapters): drops, duplicates, jitter, reordering,
-// sender stalls, fail-stop crashes and Byzantine payment claims all
-// act on this one path, and the receivers are duplicate- and
-// late-message-safe. In a fault-free round the message count is
-// exactly 4(n-1) and the completion time ~ (4*depth)*HopDelay, both
-// properties the tests pin down.
+// All messages travel through the fault layer (Config.Faults): drops,
+// duplicates, jitter, reordering, sender stalls, fail-stop crashes and
+// Byzantine payment claims all act on this one path, and the
+// receivers are duplicate- and late-message-safe. In a fault-free
+// round the message count is exactly 4(n-1) and the completion time
+// ~ (4*depth)*HopDelay, both properties the tests pin down.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := cfg.Tree.N()
-	inj := cfg.FaultInjector()
+	inj := faults.Merge(cfg.Faults)
 	dead := func(i int) bool {
 		c := inj.Class(i)
 		return c == faults.NodeCrashed || c == faults.NodeSilent
-	}
-	if dead(0) {
-		return nil, ErrRootCrashed
 	}
 	hop := cfg.HopDelay
 	if hop == 0 {
@@ -321,7 +306,7 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	// Phase 1: request broadcast; initializes per-node state. Crashed
+	// Phase 1: request broadcast; initializes per-node state. Fail-stop
 	// and silent nodes swallow the request (the message is still sent
 	// and counted) and their parent's timeout eventually cuts the
 	// subtree.

@@ -206,8 +206,7 @@ func Silent(nodes ...int) Option {
 
 // Stall marks nodes as transiently stalled: every k-th outbound
 // message (or observed job) suffers delay extra seconds. every <= 0
-// defaults to 1 (every message); delay <= 0 defaults to 1000s, the
-// legacy monitoring-stall magnitude.
+// defaults to 1 (every message); delay <= 0 defaults to 1000s.
 func Stall(delay float64, every int, nodes ...int) Option {
 	if delay <= 0 {
 		delay = 1000
@@ -227,11 +226,10 @@ func Stall(delay float64, every int, nodes ...int) Option {
 }
 
 // Flap marks nodes that alternate healthy/stalled deterministically:
-// within each period of `period` ticks the node is stalled — with the
-// legacy stall magnitude every send — for the first duty·period
-// ticks. period <= 0 defaults to 4 ticks; duty is clamped to (0, 1)
-// and defaults to 0.5. The phase is resolved against a consumer-
-// supplied tick via FlapPhase.
+// within each period of `period` ticks the node is stalled — 1000s on
+// every send — for the first duty·period ticks. period <= 0 defaults
+// to 4 ticks; duty is clamped to (0, 1) and defaults to 0.5. The phase
+// is resolved against a consumer-supplied tick via FlapPhase.
 func Flap(period int, duty float64, nodes ...int) Option {
 	if period <= 0 {
 		period = 4
@@ -253,7 +251,7 @@ func Flap(period int, duty float64, nodes ...int) Option {
 }
 
 // Byzantine marks nodes that over-claim their self-computed payment
-// by the given factor (<= 0 or 1 defaults to the legacy 1.1).
+// by the given factor (<= 0 or 1 defaults to 1.1).
 func Byzantine(factor float64, nodes ...int) Option {
 	if factor <= 0 || factor == 1 {
 		factor = 1.1
@@ -299,6 +297,50 @@ func clamp01(v float64) float64 {
 func (p *Plan) Empty() bool {
 	return p == nil ||
 		(p.drop == 0 && p.dup == 0 && p.jitter == 0 && p.reorder == 0 && len(p.nodes) == 0)
+}
+
+// IndexError reports a fault plan naming a node outside [0, N).
+type IndexError struct {
+	// Node is the offending node id; N is the node count.
+	Node, N int
+}
+
+// Error implements error.
+func (e *IndexError) Error() string {
+	return fmt.Sprintf("faults: node %d out of range [0, %d)", e.Node, e.N)
+}
+
+// CheckNodes returns a *IndexError when inj's node faults address a
+// node id outside [0, n) (the smallest such id of the first offending
+// plan), or nil. It inspects Plans, directly or inside Merge; other
+// injectors (Remap views, which speak local ids by construction,
+// FlapPhase wrappers, custom implementations) are not inspected.
+// Consumers call it on the plan they were handed, so a fault aimed at
+// a node that does not exist is an input error rather than a silent
+// no-op.
+func CheckNodes(inj Injector, n int) error {
+	switch in := inj.(type) {
+	case *Plan:
+		if in == nil {
+			return nil
+		}
+		var bad *IndexError
+		for node := range in.nodes {
+			if (node < 0 || node >= n) && (bad == nil || node < bad.Node) {
+				bad = &IndexError{Node: node, N: n}
+			}
+		}
+		if bad != nil {
+			return bad
+		}
+	case merged:
+		for _, c := range in {
+			if err := CheckNodes(c, n); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // decision salts, one per fault dimension, so the dimensions roll

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -333,5 +334,27 @@ func TestFlapSpecStringRoundTrip(t *testing.T) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
+	}
+}
+
+func TestCheckNodes(t *testing.T) {
+	for _, inj := range []Injector{nil, None, New(1), New(1, Crash(0, 3), Stall(0, 2, 1))} {
+		if err := CheckNodes(inj, 4); err != nil {
+			t.Errorf("%v: unexpected %v", inj, err)
+		}
+	}
+	var ie *IndexError
+	err := CheckNodes(New(1, Crash(9, 7), Silent(-2), Byzantine(1.2, 1)), 4)
+	if !errors.As(err, &ie) || ie.Node != -2 || ie.N != 4 {
+		t.Errorf("plan: err = %v, want the smallest bad node -2", err)
+	}
+	err = CheckNodes(Merge(New(1, Drop(0.1)), New(2, Byzantine(1.2, 4))), 4)
+	if !errors.As(err, &ie) || ie.Node != 4 {
+		t.Errorf("merged: err = %v, want node 4", err)
+	}
+	// A Remap view speaks local ids; the original plan's ids are not
+	// the view's to check.
+	if err := CheckNodes(Remap(New(1, Crash(9)), []int{0, 9}), 2); err != nil {
+		t.Errorf("remapped: unexpected %v", err)
 	}
 }

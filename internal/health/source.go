@@ -99,12 +99,12 @@ func (s *Source) Active(tick int) bool {
 	return tick >= s.cfg.FaultFrom && (s.cfg.FaultUntil <= 0 || tick < s.cfg.FaultUntil)
 }
 
-// Tick produces the tick's observations in ascending-id order. Crashed
-// and silent computers produce none (the controller counts the silent
-// tick as a timeout); stalled and flapping-in-phase computers report
-// Slowdown-inflated latency; Byzantine computers report latency
-// inflated by their claim factor. The returned slice is reused across
-// calls.
+// Tick produces the tick's observations in ascending-id order.
+// Fail-stop and silent computers produce none (the controller counts
+// the silent tick as a timeout); stalled and flapping-in-phase
+// computers report Slowdown-inflated latency; Byzantine computers
+// report latency inflated by their claim factor. The returned slice is
+// reused across calls.
 func (s *Source) Tick(tick int) []Observation {
 	s.buf = s.buf[:0]
 	active := s.Active(tick)

@@ -104,23 +104,10 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("protocol: %d strategies for %d agents", len(strategies), n)
 	}
 
-	// Fold the deprecated fault knobs (SilentStrategy, StallEvery)
-	// into the unified injector: the round consults only inj.
-	var legacy []faults.Option
-	for i, s := range strategies {
-		if _, ok := s.(SilentStrategy); ok {
-			legacy = append(legacy, faults.Silent(i))
-		}
+	if err := faults.CheckNodes(cfg.Faults, n); err != nil {
+		return nil, err
 	}
-	for i, k := range cfg.StallEvery {
-		legacy = append(legacy, faults.Stall(cfg.StallDelay, k, i))
-	}
-	var inj faults.Injector = faults.None
-	if len(legacy) > 0 {
-		inj = faults.Merge(cfg.Faults, faults.New(0, legacy...))
-	} else if cfg.Faults != nil {
-		inj = faults.Merge(cfg.Faults)
-	}
+	inj := faults.Merge(cfg.Faults)
 
 	met := cfg.Obs.RoundMetrics()
 	fm := cfg.Obs.FaultMetrics()

@@ -12,9 +12,9 @@
 //     the estimates and delivers them.
 //
 // The message complexity is exactly 5n = O(n), matching the paper's
-// bound, and the package asserts it in tests. Fault injection (agents
-// that refuse to bid) exercises the error paths a deployment would
-// face.
+// bound, and the package asserts it in tests. Fault injection through
+// a faults plan (silent or crashed agents, lost messages, stalled
+// observations) exercises the error paths a deployment would face.
 package protocol
 
 import (
@@ -180,16 +180,6 @@ func (s FactorStrategy) Bid(trueValue float64) float64 { return s.BidFactor * tr
 // Exec implements Strategy.
 func (s FactorStrategy) Exec(trueValue, _ float64) float64 { return s.ExecFactor * trueValue }
 
-// SilentStrategy refuses to bid (fault injection); the coordinator
-// aborts the round with an error.
-type SilentStrategy struct{}
-
-// Bid implements Strategy by returning a non-positive sentinel.
-func (SilentStrategy) Bid(float64) float64 { return 0 }
-
-// Exec implements Strategy.
-func (SilentStrategy) Exec(trueValue, _ float64) float64 { return trueValue }
-
 // Config parameterizes a protocol round.
 type Config struct {
 	// Trues are the agents' private values.
@@ -226,27 +216,14 @@ type Config struct {
 	// flag operationally meaningless excesses such as the small bias
 	// robust estimators carry under contamination.
 	MarginFrac float64
-	// StallEvery injects a measurement fault at node i (0-indexed) of
-	// the map: every k-th observed delay is replaced by a stall of
-	// StallDelay seconds before the coordinator sees it. It models
-	// monitoring glitches rather than agent behaviour.
-	//
-	// Deprecated: a thin adapter over faults.Stall; prefer composing a
-	// fault plan in Faults.
-	StallEvery map[int]int
-	// StallDelay is the injected stall duration (default 1000s).
-	//
-	// Deprecated: rides along with StallEvery; prefer faults.Stall.
-	StallDelay float64
 	// Faults injects faults into the round (see package faults): nodes
 	// marked crashed or silent never bid, stalled nodes corrupt the
 	// coordinator's latency observations, and the unreliable message
 	// phases (bid request, bid, completion report) may lose messages —
 	// a lost bid looks exactly like a silent agent, a lost completion
 	// report forces the coordinator to trust that agent's bid
-	// unaudited. Nil injects nothing. The deprecated SilentStrategy and
-	// StallEvery knobs are folded into this injector, which is the one
-	// source of truth during the round.
+	// unaudited. Nil injects nothing. A plan naming a node outside
+	// [0, len(Trues)) is a *faults.IndexError.
 	Faults faults.Injector
 	// Obs receives metrics and trace events from the round; nil
 	// disables instrumentation at no cost.

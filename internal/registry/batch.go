@@ -1,7 +1,5 @@
 package registry
 
-import "math"
-
 // Batched mutation. A networked front end that decodes thousands of
 // bid ops per wakeup would pay one lock acquisition, one metrics
 // round-trip and one journal interaction per op if it replayed them
@@ -122,32 +120,22 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 		op := &ops[i]
 		rr := BatchResult{ID: op.ID}
 		switch op.Kind {
-		case BatchAdd:
-			if !(op.T > 0) || math.IsInf(op.T, 0) {
+		case BatchAdd, BatchRebid:
+			if !validBid(op.T) {
 				rr.Code = BatchBadValue
-				res = append(res, rr)
-				continue
-			}
-			rr.ID = int(r.nextID.Add(1) - 1)
-		case BatchRebid:
-			if !(op.T > 0) || math.IsInf(op.T, 0) {
-				rr.Code = BatchBadValue
-				res = append(res, rr)
-				continue
-			}
-			if op.ID < 0 || op.ID >= int(r.nextID.Load()) {
+			} else if op.Kind == BatchAdd {
+				rr.ID = int(r.nextID.Add(1) - 1)
+			} else if !r.assigned(op.ID) {
 				rr.Code = BatchUnknownID
-				res = append(res, rr)
-				continue
 			}
 		case BatchLeave:
-			if op.ID < 0 || op.ID >= int(r.nextID.Load()) {
+			if !r.assigned(op.ID) {
 				rr.Code = BatchUnknownID
-				res = append(res, rr)
-				continue
 			}
 		default:
 			rr.Code = BatchBadKind
+		}
+		if rr.Code != BatchOK {
 			res = append(res, rr)
 			continue
 		}
@@ -164,90 +152,30 @@ func (r *Registry) ApplyBatch(ops []BatchOp, res []BatchResult, sc *BatchScratch
 	}
 	out := res[len(base):]
 
-	// Pass 2: per touched shard, lock once and apply that shard's ops
-	// in op order. The bodies mirror Add/Update/Remove exactly —
-	// including the journal calls under the shard lock and the
-	// coalesced-rebid stamp protocol — minus the per-op lock, metrics
-	// and error traffic.
-	var adds, updates, removes, coalesced int64
+	// Pass 2: per touched shard, lock once and run that shard's ops in
+	// op order through the same apply as Add/Update/Remove — journal
+	// call and coalesced-rebid stamp included — minus the per-op lock,
+	// metrics and error traffic.
+	var counts [4]int64 // applied ops by BatchKind
+	var coalesced int64
 	for _, s := range sc.touched {
 		sh := &r.shards[s]
 		sh.mu.Lock()
 		j := r.journal
 		for i := sc.head[s]; i >= 0; i = sc.next[i] {
 			op := &ops[i]
-			rr := &out[i]
-			switch op.Kind {
-			case BatchAdd:
-				id := rr.ID
-				local := id >> r.bits
-				v := 1 / op.T
-				for len(sh.slotOf) <= local {
-					sh.slotOf = append(sh.slotOf, -1)
-				}
-				var slot int32
-				if n := len(sh.free); n > 0 {
-					slot = sh.free[n-1]
-					sh.free = sh.free[:n-1]
-					sh.ts[slot] = op.T
-					sh.inv[slot] = v
-					sh.stamp[slot] = r.epoch.Load()
-				} else {
-					slot = int32(len(sh.ts))
-					sh.ts = append(sh.ts, op.T)
-					sh.inv = append(sh.inv, v)
-					sh.stamp = append(sh.stamp, r.epoch.Load())
-				}
-				sh.slotOf[local] = slot
-				sh.padd(v)
-				sh.live++
-				sh.bump(r.met)
-				if j != nil {
-					j.Added(id, op.T)
-				}
-				adds++
-			case BatchRebid:
-				slot := sh.slot(op.ID >> r.bits)
-				if slot < 0 {
-					rr.Code = BatchUnknownID
-					continue
-				}
-				v := 1 / op.T
-				now := r.epoch.Load()
-				if sh.stamp[slot] == now {
-					coalesced++
-				}
-				sh.stamp[slot] = now
-				sh.padd(v)
-				sh.padd(-sh.inv[slot])
-				sh.ts[slot] = op.T
-				sh.inv[slot] = v
-				sh.bump(r.met)
-				if j != nil {
-					j.Updated(op.ID, op.T)
-				}
-				updates++
-			case BatchLeave:
-				slot := sh.slot(op.ID >> r.bits)
-				if slot < 0 {
-					rr.Code = BatchUnknownID
-					continue
-				}
-				sh.padd(-sh.inv[slot])
-				sh.slotOf[op.ID>>r.bits] = -1
-				sh.ts[slot] = 0
-				sh.inv[slot] = 0
-				sh.free = append(sh.free, slot)
-				sh.live--
-				sh.bump(r.met)
-				if j != nil {
-					j.Removed(op.ID)
-				}
-				removes++
+			code, co := r.apply(sh, op.Kind, out[i].ID, op.T, j)
+			if code != BatchOK {
+				out[i].Code = code
+				continue
+			}
+			counts[op.Kind]++
+			if co {
+				coalesced++
 			}
 		}
 		sh.mu.Unlock()
 	}
-	r.met.AppliedBatch(adds, updates, removes, coalesced)
+	r.met.AppliedBatch(counts[BatchAdd], counts[BatchRebid], counts[BatchLeave], coalesced)
 	return res
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // genBatch produces a random op mix over the population tracked in
@@ -82,16 +84,19 @@ func applySerial(r *Registry, ops []BatchOp) []BatchResult {
 }
 
 // TestApplyBatchDifferential pins the batched entry point to the
-// serial methods: identical per-op results (codes and assigned ids)
-// and bitwise-identical sealed epochs, across seeds and shard counts.
+// serial methods: identical per-op results (codes and assigned ids),
+// bitwise-identical sealed epochs and identical mutation accounting,
+// across seeds and shard counts.
 func TestApplyBatchDifferential(t *testing.T) {
 	for _, shards := range []int{1, 4, 32} {
 		for seed := int64(0); seed < 8; seed++ {
-			batched, err := New(Config{Rate: 100, Shards: shards})
+			bmet := obs.NewRegistryMetrics(obs.NewRegistry())
+			smet := obs.NewRegistryMetrics(obs.NewRegistry())
+			batched, err := New(Config{Rate: 100, Shards: shards, Metrics: bmet})
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := New(Config{Rate: 100, Shards: shards})
+			serial, err := New(Config{Rate: 100, Shards: shards, Metrics: smet})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,6 +117,11 @@ func TestApplyBatchDifferential(t *testing.T) {
 							shards, seed, round, i, ops[i], res[i], want[i])
 					}
 				}
+				for i, op := range ops {
+					if op.Kind == BatchAdd && res[i].Code == BatchOK {
+						live = append(live, res[i].ID) // later rounds rebid and remove it
+					}
+				}
 				sb, ss := batched.Seal(), serial.Seal()
 				if sb.Epoch() != ss.Epoch() || sb.N() != ss.N() ||
 					math.Float64bits(sb.Sum()) != math.Float64bits(ss.Sum()) {
@@ -128,6 +138,83 @@ func TestApplyBatchDifferential(t *testing.T) {
 					}
 				}
 			}
+			// One rebid per mutation of the drift budget, so the single
+			// shard crosses a partial-sum rebuild on both paths.
+			rebids := make([]BatchOp, rebuildEvery)
+			for i := range rebids {
+				rebids[i] = BatchOp{Kind: BatchRebid, ID: live[rng.Intn(len(live))], T: 0.5 + rng.Float64()*9.5}
+			}
+			applySerial(serial, rebids)
+			batched.ApplyBatch(rebids, res[:0], sc)
+			if sb, ss := batched.Seal(), serial.Seal(); math.Float64bits(sb.Sum()) != math.Float64bits(ss.Sum()) {
+				t.Fatalf("shards=%d seed=%d: seal after rebids diverged: S %x/%x",
+					shards, seed, math.Float64bits(sb.Sum()), math.Float64bits(ss.Sum()))
+			}
+			for _, c := range []struct {
+				name string
+				b, s *obs.Counter
+			}{
+				{"adds", bmet.Adds, smet.Adds},
+				{"updates", bmet.Updates, smet.Updates},
+				{"removes", bmet.Removes, smet.Removes},
+				{"coalesced", bmet.Coalesced, smet.Coalesced},
+				{"rebuilds", bmet.Rebuilds, smet.Rebuilds},
+			} {
+				if c.b.Value() != c.s.Value() {
+					t.Fatalf("shards=%d seed=%d: %s batched %d, serial %d", shards, seed, c.name, c.b.Value(), c.s.Value())
+				}
+			}
+			if shards == 1 && bmet.Rebuilds.Value() == 0 {
+				t.Fatalf("seed=%d: no partial-sum rebuild exercised", seed)
+			}
+		}
+	}
+}
+
+// TestRestoreAgentMatchesAdd pins the recovery insert to the live one:
+// restoring the surviving agents of an Add/Remove history at their
+// original ids, in any order, seals a bitwise-identical epoch.
+func TestRestoreAgentMatchesAdd(t *testing.T) {
+	for _, shards := range []int{1, 4, 32} {
+		live, err := New(Config{Rate: 100, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(shards)))
+		bids := map[int]float64{}
+		for i := 0; i < 2000; i++ {
+			b := 0.5 + rng.Float64()*9.5
+			id, err := live.Add(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bids[id] = b
+			if rng.Intn(3) == 0 {
+				victim := rng.Intn(id + 1)
+				if _, ok := bids[victim]; ok {
+					if err := live.Remove(victim); err != nil {
+						t.Fatal(err)
+					}
+					delete(bids, victim)
+				}
+			}
+		}
+		restored, err := New(Config{Rate: 100, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, b := range bids { // map order: restore order is irrelevant
+			if err := restored.RestoreAgent(id, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sl, sr := live.Seal(), restored.Seal()
+		if sl.N() != sr.N() || math.Float64bits(sl.Sum()) != math.Float64bits(sr.Sum()) {
+			t.Fatalf("shards=%d: n %d/%d S %x/%x", shards, sl.N(), sr.N(),
+				math.Float64bits(sl.Sum()), math.Float64bits(sr.Sum()))
+		}
+		if err := restored.RestoreAgent(sl.IDs()[0], 1); err == nil {
+			t.Fatalf("shards=%d: restore of a live id accepted", shards)
 		}
 	}
 }

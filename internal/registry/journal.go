@@ -94,8 +94,10 @@ func (r *Registry) AttachJournal(j Journal) {
 // the original registry assigned. It raises the id counter past id, so
 // ids stay monotone and never recycled across restarts. A non-positive
 // or non-finite t is a *alloc.ValueError; restoring an id that is
-// already live is an error. Restore must finish before a Journal is
-// attached and concurrent traffic starts.
+// already live is an error. The insert is not journaled (it replays a
+// record the log already holds) and is not counted as an add.
+// Restore must finish before a Journal is attached and concurrent
+// traffic starts.
 func (r *Registry) RestoreAgent(id int, t float64) error {
 	if err := checkT(t); err != nil {
 		return err
@@ -103,45 +105,14 @@ func (r *Registry) RestoreAgent(id int, t float64) error {
 	if id < 0 {
 		return unknownID(id)
 	}
-	for {
-		cur := r.nextID.Load()
-		if int64(id) < cur {
-			break
-		}
-		if r.nextID.CompareAndSwap(cur, int64(id)+1) {
-			break
-		}
-	}
+	r.RestoreNext(id + 1)
 	sh := &r.shards[id&r.mask]
-	local := id >> r.bits
-	v := 1 / t
-
 	sh.mu.Lock()
-	for len(sh.slotOf) <= local {
-		sh.slotOf = append(sh.slotOf, -1)
-	}
-	if sh.slotOf[local] >= 0 {
-		sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	if sh.slot(id>>r.bits) >= 0 {
 		return fmt.Errorf("registry: restore of already-live id %d", id)
 	}
-	var slot int32
-	if n := len(sh.free); n > 0 {
-		slot = sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		sh.ts[slot] = t
-		sh.inv[slot] = v
-		sh.stamp[slot] = r.epoch.Load()
-	} else {
-		slot = int32(len(sh.ts))
-		sh.ts = append(sh.ts, t)
-		sh.inv = append(sh.inv, v)
-		sh.stamp = append(sh.stamp, r.epoch.Load())
-	}
-	sh.slotOf[local] = slot
-	sh.padd(v)
-	sh.live++
-	sh.bump(r.met)
-	sh.mu.Unlock()
+	r.apply(sh, BatchAdd, id, t, nil)
 	return nil
 }
 

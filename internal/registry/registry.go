@@ -174,33 +174,8 @@ func (r *Registry) Add(t float64) (int, error) {
 	}
 	id := int(r.nextID.Add(1) - 1)
 	sh := &r.shards[id&r.mask]
-	local := id >> r.bits
-	v := 1 / t
-
 	sh.mu.Lock()
-	for len(sh.slotOf) <= local {
-		sh.slotOf = append(sh.slotOf, -1)
-	}
-	var slot int32
-	if n := len(sh.free); n > 0 {
-		slot = sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		sh.ts[slot] = t
-		sh.inv[slot] = v
-		sh.stamp[slot] = r.epoch.Load()
-	} else {
-		slot = int32(len(sh.ts))
-		sh.ts = append(sh.ts, t)
-		sh.inv = append(sh.inv, v)
-		sh.stamp = append(sh.stamp, r.epoch.Load())
-	}
-	sh.slotOf[local] = slot
-	sh.padd(v)
-	sh.live++
-	sh.bump(r.met)
-	if j := r.journal; j != nil {
-		j.Added(id, t)
-	}
+	r.apply(sh, BatchAdd, id, t, r.journal)
 	sh.mu.Unlock()
 
 	r.met.Mutated("add", false)
@@ -209,27 +184,16 @@ func (r *Registry) Add(t float64) (int, error) {
 
 // Remove deregisters an agent.
 func (r *Registry) Remove(id int) error {
-	sh, local, err := r.locate(id)
+	sh, err := r.locate(id)
 	if err != nil {
 		return err
 	}
 	sh.mu.Lock()
-	slot := sh.slot(local)
-	if slot < 0 {
-		sh.mu.Unlock()
+	code, _ := r.apply(sh, BatchLeave, id, 0, r.journal)
+	sh.mu.Unlock()
+	if code != BatchOK {
 		return unknownID(id)
 	}
-	sh.padd(-sh.inv[slot])
-	sh.slotOf[local] = -1
-	sh.ts[slot] = 0
-	sh.inv[slot] = 0
-	sh.free = append(sh.free, slot)
-	sh.live--
-	sh.bump(r.met)
-	if j := r.journal; j != nil {
-		j.Removed(id)
-	}
-	sh.mu.Unlock()
 
 	r.met.Mutated("remove", false)
 	return nil
@@ -241,49 +205,98 @@ func (r *Registry) Update(id int, t float64) error {
 	if err := checkT(t); err != nil {
 		return err
 	}
-	sh, local, err := r.locate(id)
+	sh, err := r.locate(id)
 	if err != nil {
 		return err
 	}
-	v := 1 / t
-
 	sh.mu.Lock()
-	slot := sh.slot(local)
-	if slot < 0 {
-		sh.mu.Unlock()
+	code, coalesced := r.apply(sh, BatchRebid, id, t, r.journal)
+	sh.mu.Unlock()
+	if code != BatchOK {
 		return unknownID(id)
 	}
-	// A rebid whose predecessor was written after the last seal
-	// overwrites a value no epoch ever observed: the epoch protocol
-	// coalesced the two updates into one from every reader's point of
-	// view.
-	now := r.epoch.Load()
-	coalesced := sh.stamp[slot] == now
-	sh.stamp[slot] = now
-	sh.padd(v)
-	sh.padd(-sh.inv[slot])
-	sh.ts[slot] = t
-	sh.inv[slot] = v
-	sh.bump(r.met)
-	if j := r.journal; j != nil {
-		j.Updated(id, t)
-	}
-	sh.mu.Unlock()
 
 	r.met.Mutated("update", coalesced)
 	return nil
 }
 
+// apply performs one mutation of agent id on its shard sh, whose lock
+// the caller holds: the slot insert, rebid or removal, the running
+// partial, the live count, the drift-budget rebuild, the
+// coalesced-rebid stamp and the journal record (j may be nil). It is
+// the only code that writes a shard's slots, so Add, Update, Remove,
+// ApplyBatch and RestoreAgent change S = Σ 1/b_i identically. A
+// BatchAdd id must not be live; a rebid or leave of an id absent from
+// the shard applies nothing and returns BatchUnknownID. coalesced
+// reports a rebid whose predecessor was written after the last seal:
+// it overwrote a value no epoch ever observed, so the epoch protocol
+// coalesced the two updates into one from every reader's view.
+func (r *Registry) apply(sh *shard, kind BatchKind, id int, t float64, j Journal) (code BatchCode, coalesced bool) {
+	local := id >> r.bits
+	if kind == BatchAdd {
+		for len(sh.slotOf) <= local {
+			sh.slotOf = append(sh.slotOf, -1)
+		}
+		v, now := 1/t, r.epoch.Load()
+		var slot int32
+		if n := len(sh.free); n > 0 {
+			slot = sh.free[n-1]
+			sh.free = sh.free[:n-1]
+			sh.ts[slot], sh.inv[slot], sh.stamp[slot] = t, v, now
+		} else {
+			slot = int32(len(sh.ts))
+			sh.ts = append(sh.ts, t)
+			sh.inv = append(sh.inv, v)
+			sh.stamp = append(sh.stamp, now)
+		}
+		sh.slotOf[local] = slot
+		sh.padd(v)
+		sh.live++
+		sh.bump(r.met)
+		if j != nil {
+			j.Added(id, t)
+		}
+		return BatchOK, false
+	}
+	slot := sh.slot(local)
+	if slot < 0 {
+		return BatchUnknownID, false
+	}
+	if kind == BatchRebid {
+		v, now := 1/t, r.epoch.Load()
+		coalesced = sh.stamp[slot] == now
+		sh.stamp[slot] = now
+		sh.padd(v)
+		sh.padd(-sh.inv[slot])
+		sh.ts[slot], sh.inv[slot] = t, v
+		sh.bump(r.met)
+		if j != nil {
+			j.Updated(id, t)
+		}
+		return BatchOK, coalesced
+	}
+	sh.padd(-sh.inv[slot])
+	sh.slotOf[local] = -1
+	sh.ts[slot], sh.inv[slot] = 0, 0
+	sh.free = append(sh.free, slot)
+	sh.live--
+	sh.bump(r.met)
+	if j != nil {
+		j.Removed(id)
+	}
+	return BatchOK, false
+}
+
 // Value returns the agent's current bid (not the sealed one; use
 // Snapshot().Value for epoch-consistent reads).
 func (r *Registry) Value(id int) (float64, bool) {
-	sh, local, err := r.locate(id)
+	sh, err := r.locate(id)
 	if err != nil {
 		return 0, false
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	slot := sh.slot(local)
+	slot := sh.slot(id >> r.bits)
 	if slot < 0 {
 		return 0, false
 	}
@@ -478,13 +491,18 @@ func (r *Registry) SealCorrected(c *Correction) (*Snapshot, error) {
 	return snap, nil
 }
 
-// locate resolves an id to its shard and local index, rejecting ids
-// that were never assigned.
-func (r *Registry) locate(id int) (*shard, int, error) {
-	if id < 0 || id >= int(r.nextID.Load()) {
-		return nil, 0, unknownID(id)
+// locate resolves an id to its shard, rejecting ids that were never
+// assigned.
+func (r *Registry) locate(id int) (*shard, error) {
+	if !r.assigned(id) {
+		return nil, unknownID(id)
 	}
-	return &r.shards[id&r.mask], id >> r.bits, nil
+	return &r.shards[id&r.mask], nil
+}
+
+// assigned reports whether id was ever handed out by the id counter.
+func (r *Registry) assigned(id int) bool {
+	return id >= 0 && id < int(r.nextID.Load())
 }
 
 // slot returns the local id's slot, or -1 when absent (including
@@ -546,9 +564,15 @@ func unknownID(id int) error {
 	return fmt.Errorf("registry: unknown agent id %d", id)
 }
 
+// validBid is alloc.Stream's bid domain: positive and finite (NaN
+// fails the comparison).
+func validBid(t float64) bool {
+	return t > 0 && t <= math.MaxFloat64
+}
+
 // checkT validates a bid with alloc.Stream's contract.
 func checkT(t float64) error {
-	if t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+	if !validBid(t) {
 		return &alloc.ValueError{Field: "t", Value: t}
 	}
 	return nil

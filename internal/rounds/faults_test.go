@@ -21,10 +21,9 @@ func population(n int) []ComputerSpec {
 // the round degrades to the responsive computers instead of aborting
 // the simulation.
 func TestRetryRecoversSilentComputer(t *testing.T) {
-	pop := population(4)
-	pop[1].Strategy = protocol.SilentStrategy{}
 	res, err := Run(Config{
-		Computers:  pop,
+		Computers:  population(4),
+		Faults:     faults.New(0, faults.Silent(1)),
 		Rate:       8,
 		Rounds:     2,
 		Seed:       3,
@@ -48,10 +47,10 @@ func TestRetryRecoversSilentComputer(t *testing.T) {
 // under its population index.
 func TestVerdictMappingSurvivesDropouts(t *testing.T) {
 	pop := population(4)
-	pop[1].Strategy = protocol.SilentStrategy{}
 	pop[3].Strategy = protocol.FactorStrategy{BidFactor: 1, ExecFactor: 2}
 	res, err := Run(Config{
 		Computers:    pop,
+		Faults:       faults.New(0, faults.Silent(1)),
 		Rate:         8,
 		Rounds:       3,
 		JobsPerRound: 4000,

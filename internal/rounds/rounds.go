@@ -75,7 +75,8 @@ type Config struct {
 	// Policy is the reputation policy.
 	Policy Policy
 	// Faults injects faults into every round's protocol execution (see
-	// package faults). Node indices refer to Computers; the injector is
+	// package faults). Node indices refer to Computers (an index
+	// outside [0, len(Computers)) is a *faults.IndexError); the injector is
 	// remapped onto each round's active set and re-keyed per round and
 	// per retry, so the fault schedule is deterministic but never
 	// repeats between attempts. Nil injects nothing.

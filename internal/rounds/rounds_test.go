@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/protocol"
 )
 
@@ -255,6 +256,7 @@ func TestRunValidation(t *testing.T) {
 		{Computers: []ComputerSpec{{True: -1}, {True: 1}}, Rate: 5, Rounds: 3},
 		{Computers: []ComputerSpec{{True: 1, JoinRound: -2}, {True: 1}}, Rate: 5, Rounds: 3},
 		{Computers: good, RateFor: func(int) float64 { return -1 }, Rounds: 3},
+		{Computers: good, Rate: 5, Rounds: 3, Faults: faults.New(0, faults.Crash(len(good)))},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); err == nil {

@@ -45,7 +45,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Defaults for Config's zero values.
+// Defaults for Config's zero values, and the fixed per-connection
+// frame window (DefaultReadBuf) and response buffer (DefaultWriteBuf).
 const (
 	DefaultMaxBatch    = 4096
 	DefaultMaxInflight = 16384
@@ -64,9 +65,6 @@ type Config struct {
 	// beyond it are answered StatusOverloaded without touching the
 	// registry. Non-positive means DefaultMaxInflight.
 	MaxInflight int
-	// ReadBuf and WriteBuf size the per-connection frame window and
-	// response buffer. Non-positive means the defaults.
-	ReadBuf, WriteBuf int
 	// SealInterval, when positive, seals an epoch on a background
 	// ticker — the serving-loop cadence. Zero means epochs seal only on
 	// client OpSeal requests, which keeps the epoch stream exactly the
@@ -104,12 +102,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = DefaultMaxInflight
-	}
-	if cfg.ReadBuf <= 0 {
-		cfg.ReadBuf = DefaultReadBuf
-	}
-	if cfg.WriteBuf <= 0 {
-		cfg.WriteBuf = DefaultWriteBuf
 	}
 	return &Server{cfg: cfg, conns: make(map[net.Conn]struct{}), stop: make(chan struct{})}
 }
@@ -329,8 +321,8 @@ func (b *batcher) drain(reg *registry.Registry, met *obs.ServerMetrics, wbuf []b
 // arrives.
 func (s *Server) handle(conn net.Conn) {
 	reg, met := s.cfg.Registry, s.cfg.Metrics
-	rd := wire.NewReader(s.cfg.ReadBuf)
-	wbuf := make([]byte, 0, s.cfg.WriteBuf)
+	rd := wire.NewReader(DefaultReadBuf)
+	wbuf := make([]byte, 0, DefaultWriteBuf)
 	var bt batcher
 	var q wire.Request
 	subscribed := false

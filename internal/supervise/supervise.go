@@ -405,9 +405,8 @@ func (e *AbortError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *AbortError) Unwrap() error { return e.Err }
 
-// Run executes a supervised round over cfg's population. The legacy
-// fault knobs and the Faults injector are honored through the unified
-// fault layer; each retry re-keys the message-level fault schedule
+// Run executes a supervised round over cfg's population under
+// cfg.Faults; each retry re-keys the message-level fault schedule
 // (deterministically) and rebuilds the spanning tree over the
 // non-excluded survivors, reparenting orphaned subtrees to their
 // nearest surviving ancestor.
@@ -423,11 +422,9 @@ func Run(cfg distmech.Config, opts Options) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return report, &AbortError{Class: ClassConfig, Err: err}
 	}
-	inj := cfg.FaultInjector()
+	inj := faults.Merge(cfg.Faults)
 
 	base := cfg
-	base.Crashed = nil
-	base.CheatPayments = nil
 	base.Faults = nil
 	base.Deadline = opts.Deadline
 	base.Obs = opts.Obs
@@ -435,16 +432,13 @@ func Run(cfg distmech.Config, opts Options) (*Report, error) {
 	// Static pre-exclusion: nodes the fault plan marks fail-stop or
 	// silent can never respond. Excluding them up front reparents
 	// their (healthy) subtrees to surviving ancestors instead of
-	// timing the whole branch out and burning a retry. The
-	// coordinator runs the supervisor itself, so a plan marking node
-	// 0 fail-stop describes a system that cannot run at all.
+	// timing the whole branch out and burning a retry. Validate has
+	// already rejected a plan that marks the coordinator (node 0), which
+	// runs the supervisor itself, fail-stop.
 	alive := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		switch inj.Class(i) {
 		case faults.NodeCrashed, faults.NodeSilent:
-			if i == 0 {
-				return report, &AbortError{Class: ClassConfig, Err: distmech.ErrRootCrashed}
-			}
 			report.StaticExcluded = append(report.StaticExcluded, i)
 			report.ExcludedUnreachable = append(report.ExcludedUnreachable, i)
 		default:

@@ -28,13 +28,23 @@
 //	out, _ := sys.Run()
 //	fmt.Println(out.Alloc, out.Payment, out.Utility)
 //
+// # Layout
+//
+// This package is the module's one public facade. System and its
+// options are defined here; every other exported name re-exports a
+// type or constructor from the internal packages (mech, distmech,
+// faults, supervise, ...). Faults are injected only through a
+// FaultPlan (ParseFaults, or package faults' options), which every
+// layer — protocol round, distributed round, supervisor — consumes
+// as the one fault API; a plan naming a computer the system does not
+// have is an input error.
+//
 // See the examples directory for runnable scenarios and DESIGN.md for
 // the full system inventory.
 package lbmech
 
 import (
 	"repro/internal/coop"
-	"repro/internal/core"
 	"repro/internal/distmech"
 	"repro/internal/experiments"
 	"repro/internal/faults"
@@ -58,13 +68,6 @@ type Mechanism = mech.Mechanism
 // Model abstracts the latency family (linear or M/M/1).
 type Model = mech.Model
 
-// System is the high-level handle for configuring and running the
-// mechanism on a set of computers.
-type System = core.System
-
-// Option configures a System.
-type Option = core.Option
-
 // TruthfulnessReport is the outcome of a deviation grid search.
 type TruthfulnessReport = game.Report
 
@@ -74,22 +77,6 @@ type ProtocolResult = protocol.Result
 
 // Experiment is one of the paper's Table 2 scenarios.
 type Experiment = experiments.Experiment
-
-// NewSystem creates a system of computers with the given true latency
-// parameters (all initially truthful) facing the given total job
-// arrival rate. By default it uses the linear latency model and the
-// paper's compensation-and-bonus mechanism with verification.
-func NewSystem(trueValues []float64, rate float64, opts ...Option) (*System, error) {
-	return core.NewSystem(trueValues, rate, opts...)
-}
-
-// WithModel selects the latency model: LinearModel() (default) or
-// MM1Model().
-func WithModel(m Model) Option { return core.WithModel(m) }
-
-// WithMechanism overrides the mechanism, e.g. VCG() or Classical()
-// for baseline comparisons.
-func WithMechanism(m Mechanism) Option { return core.WithMechanism(m) }
 
 // LinearModel returns the paper's latency model l(x) = t*x.
 func LinearModel() Model { return mech.LinearModel{} }
@@ -127,7 +114,7 @@ func Truthful(trueValues []float64) []Agent { return mech.Truthful(trueValues) }
 // PaperSystem returns the paper's 16-computer configuration (Table 1)
 // at the paper's job arrival rate R = 20, ready to run.
 func PaperSystem() (*System, error) {
-	return core.NewSystem(experiments.PaperTrueValues(), experiments.PaperRate)
+	return NewSystem(experiments.PaperTrueValues(), experiments.PaperRate)
 }
 
 // PaperExperiments returns the paper's eight Table 2 scenarios.
