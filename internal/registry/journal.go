@@ -109,7 +109,7 @@ func (r *Registry) RestoreAgent(id int, t float64) error {
 	sh := &r.shards[id&r.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.slot(id>>r.bits) >= 0 {
+	if sh.bid(id>>r.bits) != 0 {
 		return fmt.Errorf("registry: restore of already-live id %d", id)
 	}
 	r.apply(sh, BatchAdd, id, t, nil)

@@ -7,19 +7,20 @@
 // across cores:
 //
 //   - Writes are lock-striped. Agents live in power-of-two many
-//     shards (shard = id mod nShards); each shard keeps a dense slot
-//     array of bids with a free list — id-to-slot resolution is two
-//     array reads, no map on the hot path — plus a compensated
-//     partial sum of 1/b_i maintained as a delta on every mutation
-//     and periodically rebuilt per shard to cancel drift. Concurrent
-//     mutations contend only when they hash to the same shard.
+//     shards (shard = id mod nShards); each shard keeps its bids in
+//     an array indexed by local id (id / nShards), 0 marking an
+//     absent id — one array read, no map on the hot path — plus a
+//     compensated partial sum of 1/b_i maintained as a delta on every
+//     mutation and periodically rebuilt per shard to cancel drift.
+//     Concurrent mutations contend only when they hash to the same
+//     shard.
 //
 //   - Reads are lock-free. Seal freezes the current population into
-//     an immutable Snapshot — {S, R, epoch} plus the id-indexed bid
-//     arrays — and publishes it through an atomic pointer. Readers
-//     answer x_i, L*, L_{-i} and per-agent payment queries against
-//     the snapshot in O(1) with zero allocations and no lock, while
-//     writers keep mutating the shards underneath.
+//     an immutable Snapshot — {S, R, epoch} plus the live ids and the
+//     id-indexed bid array — and publishes it through an atomic
+//     pointer. Readers answer x_i, L*, L_{-i} and per-agent payment
+//     queries against the snapshot in O(1) with zero allocations and
+//     no lock, while writers keep mutating the shards underneath.
 //
 // Determinism. The sealed aggregate is NOT the sum of the per-shard
 // running partials (their value depends on the interleaving of
@@ -34,9 +35,10 @@
 //
 // Ids are assigned by a global monotonic counter and never recycled,
 // matching alloc.Stream; the id-indexed structures therefore grow
-// with the total number of agents ever admitted (4-16 bytes per id),
-// which a long-lived coordinator bounds by recreating the registry at
-// natural epochs (e.g. a mechanism round boundary).
+// with the total number of agents ever admitted (16 bytes per id in
+// the shards, 8 more in each sealed snapshot), which a long-lived
+// coordinator bounds by recreating the registry at natural epochs
+// (e.g. a mechanism round boundary).
 package registry
 
 import (
@@ -59,8 +61,12 @@ const DefaultShards = 32
 
 // rebuildEvery bounds the drift of a shard's running partial sum:
 // after this many mutations the partial is recomputed from the live
-// slots with compensated summation, mirroring alloc.Stream.
+// bids with compensated summation, mirroring alloc.Stream.
 const rebuildEvery = 4096
+
+// sealBlock is the number of consecutive ids one seal worker gathers
+// at a time: 32 KiB of the sealed bid array, written sequentially.
+const sealBlock = 4096
 
 // Config configures a Registry.
 type Config struct {
@@ -93,31 +99,25 @@ type Registry struct {
 	journal Journal // read under a shard lock or sealMu; see AttachJournal
 }
 
-// shard is one lock stripe: a dense slot array of bids with a free
-// list, an id-to-slot index, and the shard's compensated running
-// partial of Σ 1/b over its live slots.
+// shard is one lock stripe: the bids of its ids indexed by local id
+// and the shard's compensated running partial of Σ 1/b over them.
 type shard struct {
 	mu sync.Mutex
 
-	// slotOf maps the local id (id / nShards) to its slot, -1 when
-	// absent. Walking it in index order visits the shard's live ids
-	// in ascending global-id order.
-	slotOf []int32
-	// Dense slot arrays; a free slot has inv == 0 (a live bid always
-	// has inv > 0). stamp records the epoch counter at the slot's
-	// last write, for coalesced-rebid accounting.
+	// ts[local] is the bid of id local<<bits | shard, 0 when absent (a
+	// live bid is always positive); both arrays grow to the shard's
+	// highest admitted local id. stamp[local] records the epoch
+	// counter at the id's last write, for coalesced-rebid accounting.
 	ts    []float64
-	inv   []float64
 	stamp []uint64
-	free  []int32
 
-	// Neumaier running partial of inv over live slots, maintained as
-	// a delta per mutation and rebuilt every rebuildEvery mutations.
+	// Neumaier running partial of 1/ts over live ids, maintained as a
+	// delta per mutation and rebuilt every rebuildEvery mutations.
 	psum, pcomp float64
 	muts        int
 	live        int
 
-	_ [32]byte // keep hot shard fields off shared cache lines
+	_ [40]byte // pad to 128 bytes: hot shard fields off shared cache lines
 }
 
 // New returns an empty registry. The zero-agent state is sealed
@@ -221,10 +221,10 @@ func (r *Registry) Update(id int, t float64) error {
 }
 
 // apply performs one mutation of agent id on its shard sh, whose lock
-// the caller holds: the slot insert, rebid or removal, the running
+// the caller holds: the insert, rebid or removal, the running
 // partial, the live count, the drift-budget rebuild, the
 // coalesced-rebid stamp and the journal record (j may be nil). It is
-// the only code that writes a shard's slots, so Add, Update, Remove,
+// the only code that writes a shard's bids, so Add, Update, Remove,
 // ApplyBatch and RestoreAgent change S = Σ 1/b_i identically. A
 // BatchAdd id must not be live; a rebid or leave of an id absent from
 // the shard applies nothing and returns BatchUnknownID. coalesced
@@ -234,23 +234,12 @@ func (r *Registry) Update(id int, t float64) error {
 func (r *Registry) apply(sh *shard, kind BatchKind, id int, t float64, j Journal) (code BatchCode, coalesced bool) {
 	local := id >> r.bits
 	if kind == BatchAdd {
-		for len(sh.slotOf) <= local {
-			sh.slotOf = append(sh.slotOf, -1)
+		for len(sh.ts) <= local {
+			sh.ts = append(sh.ts, 0)
+			sh.stamp = append(sh.stamp, 0)
 		}
-		v, now := 1/t, r.epoch.Load()
-		var slot int32
-		if n := len(sh.free); n > 0 {
-			slot = sh.free[n-1]
-			sh.free = sh.free[:n-1]
-			sh.ts[slot], sh.inv[slot], sh.stamp[slot] = t, v, now
-		} else {
-			slot = int32(len(sh.ts))
-			sh.ts = append(sh.ts, t)
-			sh.inv = append(sh.inv, v)
-			sh.stamp = append(sh.stamp, now)
-		}
-		sh.slotOf[local] = slot
-		sh.padd(v)
+		sh.ts[local], sh.stamp[local] = t, r.epoch.Load()
+		sh.padd(1 / t)
 		sh.live++
 		sh.bump(r.met)
 		if j != nil {
@@ -258,27 +247,25 @@ func (r *Registry) apply(sh *shard, kind BatchKind, id int, t float64, j Journal
 		}
 		return BatchOK, false
 	}
-	slot := sh.slot(local)
-	if slot < 0 {
+	old := sh.bid(local)
+	if old == 0 {
 		return BatchUnknownID, false
 	}
 	if kind == BatchRebid {
-		v, now := 1/t, r.epoch.Load()
-		coalesced = sh.stamp[slot] == now
-		sh.stamp[slot] = now
-		sh.padd(v)
-		sh.padd(-sh.inv[slot])
-		sh.ts[slot], sh.inv[slot] = t, v
+		now := r.epoch.Load()
+		coalesced = sh.stamp[local] == now
+		sh.stamp[local] = now
+		sh.padd(1 / t)
+		sh.padd(-1 / old)
+		sh.ts[local] = t
 		sh.bump(r.met)
 		if j != nil {
 			j.Updated(id, t)
 		}
 		return BatchOK, coalesced
 	}
-	sh.padd(-sh.inv[slot])
-	sh.slotOf[local] = -1
-	sh.ts[slot], sh.inv[slot] = 0, 0
-	sh.free = append(sh.free, slot)
+	sh.padd(-1 / old)
+	sh.ts[local] = 0
 	sh.live--
 	sh.bump(r.met)
 	if j != nil {
@@ -295,12 +282,9 @@ func (r *Registry) Value(id int) (float64, bool) {
 		return 0, false
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	slot := sh.slot(id >> r.bits)
-	if slot < 0 {
-		return 0, false
-	}
-	return sh.ts[slot], true
+	t := sh.bid(id >> r.bits)
+	sh.mu.Unlock()
+	return t, t != 0
 }
 
 // Live returns the current live agent count (summing shard counters
@@ -378,8 +362,9 @@ func (c *Correction) validate() error {
 
 // Seal freezes the current population into a new immutable Snapshot,
 // publishes it, and returns it. The shard locks are all held for the
-// copy — writers queue behind a seal for O(population/shards) each —
-// and the canonical aggregate is computed after they are released:
+// copy — one id-ordered gather of every bid, so writers queue behind
+// a seal for O(ids ever admitted) — and the canonical aggregate is
+// computed after they are released:
 // one Neumaier pass over the live bids in ascending id order, the
 // shard-count- and schedule-independent reduction shared with
 // alloc.Stream.Sealed. Concurrent Seal calls serialize.
@@ -406,29 +391,22 @@ func (r *Registry) SealCorrected(c *Correction) (*Snapshot, error) {
 	defer r.sealMu.Unlock()
 	start := time.Now()
 
-	nShards := len(r.shards)
 	for i := range r.shards {
 		r.shards[i].mu.Lock()
 	}
 	maxID := int(r.nextID.Load())
 	t := make([]float64, maxID)
-	inv := make([]float64, maxID)
-	live := 0
-	bits := r.bits
-	// With every shard lock held the copies are independent, so they
-	// can fan out; on a single-core host ForEach degrades to the
-	// plain loop.
-	parallel.ForEach(nShards, 0, func(k int) {
-		sh := &r.shards[k]
-		for local, slot := range sh.slotOf {
-			if slot < 0 {
-				continue
-			}
-			id := local<<bits | k
-			t[id] = sh.ts[slot]
-			inv[id] = sh.inv[slot]
+	shards, mask, bits := r.shards, r.mask, r.bits
+	// With every shard lock held the gather is read-only on the
+	// shards, so contiguous id blocks fan out across workers, each
+	// writing its block of t in order; on a single-core host
+	// ForEachBlock degrades to the plain loop.
+	parallel.ForEachBlock(maxID, sealBlock, 0, func(lo, hi int) {
+		for id := lo; id < hi; id++ {
+			t[id] = shards[id&mask].bid(id >> bits)
 		}
 	})
+	live := 0
 	for i := range r.shards {
 		live += r.shards[i].live
 	}
@@ -446,39 +424,37 @@ func (r *Registry) SealCorrected(c *Correction) (*Snapshot, error) {
 	}
 
 	// Apply the correction to the sealed copy (never to the shards):
-	// drops zero the slot, discounts reprice it at t/weight with the
-	// inverse recomputed from the corrected bid — exactly what an
-	// alloc.Stream replay of the same adjustments produces. Map
-	// iteration order is irrelevant: each entry pokes an independent
-	// array slot, and the aggregate below is a single ascending-id
-	// pass.
+	// drops zero the bid, discounts reprice it at t/weight — exactly
+	// what an alloc.Stream replay of the same adjustments produces.
+	// Map iteration order is irrelevant: each entry pokes an
+	// independent array element, and the aggregate below is a single
+	// ascending-id pass.
 	dropped, discounted := 0, 0
 	if !c.empty() {
 		for id := range c.Drop {
-			if id >= 0 && id < len(inv) && inv[id] != 0 {
-				t[id], inv[id] = 0, 0
+			if id >= 0 && id < len(t) && t[id] != 0 {
+				t[id] = 0
 				dropped++
 			}
 		}
 		for id, w := range c.Weights {
-			if id >= 0 && id < len(inv) && inv[id] != 0 && w != 1 {
-				tw := t[id] / w
-				t[id], inv[id] = tw, 1/tw
+			if id >= 0 && id < len(t) && t[id] != 0 && w != 1 {
+				t[id] /= w
 				discounted++
 			}
 		}
 	}
 
-	ids := make([]int, 0, live)
+	ids := make([]int, 0, live-dropped)
 	var k numeric.KahanSum
-	for id, v := range inv {
+	for id, v := range t {
 		if v != 0 {
-			k.Add(v)
+			k.Add(1 / v)
 			ids = append(ids, id)
 		}
 	}
 	snap := &Snapshot{
-		epoch: epoch, rate: rate, s: k.Value(), ids: ids, t: t, inv: inv,
+		epoch: epoch, rate: rate, s: k.Value(), ids: ids, t: t,
 		dropped: dropped, discounted: discounted,
 	}
 	r.snap.Store(snap)
@@ -505,13 +481,13 @@ func (r *Registry) assigned(id int) bool {
 	return id >= 0 && id < int(r.nextID.Load())
 }
 
-// slot returns the local id's slot, or -1 when absent (including
-// local ids beyond the shard's index).
-func (sh *shard) slot(local int) int32 {
-	if local >= len(sh.slotOf) {
-		return -1
+// bid returns the local id's bid, or 0 when absent (including local
+// ids beyond the shard's arrays).
+func (sh *shard) bid(local int) float64 {
+	if local >= len(sh.ts) {
+		return 0
 	}
-	return sh.slotOf[local]
+	return sh.ts[local]
 }
 
 // padd accumulates v into the shard's Neumaier partial.
@@ -526,7 +502,7 @@ func (sh *shard) padd(v float64) {
 }
 
 // bump counts a mutation and rebuilds the running partial from the
-// live slots when the drift budget is spent. Called with the shard
+// live bids when the drift budget is spent. Called with the shard
 // lock held.
 func (sh *shard) bump(met *obs.RegistryMetrics) {
 	sh.muts++
@@ -535,9 +511,9 @@ func (sh *shard) bump(met *obs.RegistryMetrics) {
 	}
 	sh.muts = 0
 	var k numeric.KahanSum
-	for _, v := range sh.inv {
+	for _, v := range sh.ts {
 		if v != 0 {
-			k.Add(v)
+			k.Add(1 / v)
 		}
 	}
 	sh.psum, sh.pcomp = k.Value(), 0

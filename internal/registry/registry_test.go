@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/alloc"
@@ -149,44 +150,101 @@ func TestSealedAggregateIndependentOfShardCount(t *testing.T) {
 	// The same serial event sequence must seal to bitwise-identical
 	// aggregates and allocations for every shard count: the canonical
 	// reduction is over ascending ids, which sharding does not touch.
-	apply := func(shards int) *Snapshot {
-		r, err := New(Config{Rate: 20, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 300; i++ {
-			mustAdd(t, r, 0.5+float64(i%17))
-		}
-		for i := 0; i < 300; i += 3 {
-			if err := r.Remove(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 1; i < 300; i += 3 {
-			if err := r.Update(i, 1+float64(i%11)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return r.Seal()
+	// The blocks input spans several seal gather blocks, removes the
+	// ids on either side of every block boundary, and issues ids past
+	// the last one any shard has grown to (as an Add still waiting for
+	// its shard lock leaves them); it runs the gather serially and
+	// split across two workers.
+	const n = 3*sealBlock + 7
+	inputs := []struct {
+		name  string
+		n     int // agents admitted, ids 0..n-1
+		next  int // id counter floor raised after the admissions
+		gone  func(id int) bool
+		rebid func(id int) bool
+	}{
+		{
+			name:  "small",
+			n:     300,
+			next:  300,
+			gone:  func(id int) bool { return id%3 == 0 },
+			rebid: func(id int) bool { return id%3 == 1 },
+		},
+		{
+			name: "blocks",
+			n:    n,
+			next: n + 40,
+			gone: func(id int) bool {
+				return id%sealBlock == 0 || id%sealBlock == sealBlock-1 || id == n-1
+			},
+			rebid: func(id int) bool { return id%5 == 2 },
+		},
 	}
-	ref := apply(1)
-	var refSweep Sweep
-	refX := append([]float64(nil), refSweep.Alloc(ref, 1)...)
-	for _, shards := range []int{2, 8, 64} {
-		snap := apply(shards)
-		if snap.Sum() != ref.Sum() {
-			t.Errorf("shards=%d: S = %g, want %g", shards, snap.Sum(), ref.Sum())
-		}
-		if snap.N() != ref.N() {
-			t.Fatalf("shards=%d: N = %d, want %d", shards, snap.N(), ref.N())
-		}
-		var sw Sweep
-		x := sw.Alloc(snap, 1)
-		for j := range x {
-			if x[j] != refX[j] {
-				t.Fatalf("shards=%d: x[%d] = %g, want %g", shards, j, x[j], refX[j])
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			build := func(shards int) (*Registry, *Snapshot) {
+				r, err := New(Config{Rate: 20, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < in.n; i++ {
+					mustAdd(t, r, 0.5+float64(i%17))
+				}
+				for i := 0; i < in.n; i++ {
+					if in.gone(i) {
+						if err := r.Remove(i); err != nil {
+							t.Fatal(err)
+						}
+					} else if in.rebid(i) {
+						if err := r.Update(i, 1+float64(i%11)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				r.RestoreNext(in.next)
+				return r, r.Seal()
 			}
-		}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			_, ref := build(1)
+			var refSweep Sweep
+			refX := append([]float64(nil), refSweep.Alloc(ref, 1)...)
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				for _, shards := range []int{2, 8, 64} {
+					r, snap := build(shards)
+					if math.Float64bits(snap.Sum()) != math.Float64bits(ref.Sum()) {
+						t.Errorf("procs=%d shards=%d: S = %g, want %g", procs, shards, snap.Sum(), ref.Sum())
+					}
+					if snap.N() != ref.N() {
+						t.Fatalf("procs=%d shards=%d: N = %d, want %d", procs, shards, snap.N(), ref.N())
+					}
+					var sw Sweep
+					x := sw.Alloc(snap, procs)
+					for j := range x {
+						if math.Float64bits(x[j]) != math.Float64bits(refX[j]) {
+							t.Fatalf("procs=%d shards=%d: x[%d] = %g, want %g", procs, shards, j, x[j], refX[j])
+						}
+					}
+					for id := 0; id < in.next+2; id++ {
+						absent := id >= in.n || in.gone(id)
+						if got := snap.Contains(id); got == absent {
+							t.Fatalf("procs=%d shards=%d: Contains(%d) = %v, want %v", procs, shards, id, got, !absent)
+						}
+						if !absent {
+							continue
+						}
+						_, okV := snap.Value(id)
+						_, okR := r.Value(id)
+						_, okL := snap.Load(id)
+						_, _, okP := snap.Payment(id)
+						if okV || okR || okL || okP {
+							t.Fatalf("procs=%d shards=%d: absent id %d answers Value %v, registry Value %v, Load %v, Payment %v",
+								procs, shards, id, okV, okR, okL, okP)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

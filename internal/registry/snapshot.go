@@ -14,7 +14,6 @@ type Snapshot struct {
 	s     float64
 	ids   []int     // live ids, ascending
 	t     []float64 // id-indexed bid; 0 = absent
-	inv   []float64 // id-indexed 1/bid; 0 = absent
 
 	// Health correction applied at seal time (see SealCorrected).
 	dropped    int
@@ -50,7 +49,7 @@ func (s *Snapshot) Correction() (dropped, discounted int) {
 
 // Contains reports whether the agent was live in the sealed epoch.
 func (s *Snapshot) Contains(id int) bool {
-	return id >= 0 && id < len(s.inv) && s.inv[id] != 0
+	return id >= 0 && id < len(s.t) && s.t[id] != 0
 }
 
 // Value returns the agent's sealed bid.
@@ -94,7 +93,7 @@ func (s *Snapshot) ExclusionLatency(id int) (float64, bool) {
 	if !s.Contains(id) {
 		return 0, false
 	}
-	rest := s.s - s.inv[id]
+	rest := s.s - 1/s.t[id]
 	if rest <= 0 {
 		if s.rate == 0 {
 			return 0, true
@@ -118,7 +117,7 @@ func (s *Snapshot) Payment(id int) (compensation, bonus float64, ok bool) {
 	}
 	compensation = s.rate / s.s
 	lStar := s.rate * s.rate / s.s
-	rest := s.s - s.inv[id]
+	rest := s.s - 1/s.t[id]
 	if rest <= 0 {
 		if s.rate == 0 {
 			return compensation, 0, true

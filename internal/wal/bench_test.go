@@ -107,8 +107,7 @@ func BenchmarkWALSnapshot(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	p := &pendingSnap{epoch: 7, rate: 100, s: 1234.5, next: 100_000, seg: 1, off: segHeaderLen}
 	for i := 0; i < 100_000; i++ {
-		p.ids = append(p.ids, i)
-		p.ts = append(p.ts, 0.1+10*rng.Float64())
+		p.t = append(p.t, 0.1+10*rng.Float64())
 	}
 	data := encodeSnapshot(p)
 	b.SetBytes(int64(len(data)))

@@ -33,7 +33,13 @@ type snapData struct {
 //
 // little-endian throughout; the CRC covers everything after the magic.
 func encodeSnapshot(p *pendingSnap) []byte {
-	n := 8 + 48 + 16 + 8*len(p.drops) + 16*len(p.wts) + 16*len(p.ids) + 4
+	live := 0
+	for _, t := range p.t {
+		if t != 0 {
+			live++
+		}
+	}
+	n := 8 + 48 + 16 + 8*len(p.drops) + 16*len(p.wts) + 16*live + 4
 	b := make([]byte, 0, n)
 	b = append(b, snapMagic...)
 	b = binary.LittleEndian.AppendUint64(b, p.epoch)
@@ -44,7 +50,7 @@ func encodeSnapshot(p *pendingSnap) []byte {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.s))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.drops)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.wts)))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(p.ids)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(live))
 	for _, id := range p.drops {
 		b = binary.LittleEndian.AppendUint64(b, uint64(id))
 	}
@@ -52,9 +58,11 @@ func encodeSnapshot(p *pendingSnap) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(e.id))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.w))
 	}
-	for i, id := range p.ids {
-		b = binary.LittleEndian.AppendUint64(b, uint64(id))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.ts[i]))
+	for id, t := range p.t {
+		if t != 0 {
+			b = binary.LittleEndian.AppendUint64(b, uint64(id))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t))
+		}
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:], crcTable))
 }

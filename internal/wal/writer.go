@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -118,8 +119,7 @@ type pendingSnap struct {
 	next  int
 	seg   uint64 // replay position: first byte after the covering seal record
 	off   int64
-	ids   []int
-	ts    []float64
+	t     []float64 // id-indexed uncorrected bids, 0 = absent
 	drops []int
 	wts   []weightEntry
 }
@@ -325,9 +325,10 @@ func (w *Writer) mutation(kind byte, a, b uint64, wide bool) {
 // Sealed implements registry.Journal. It runs under every registry
 // shard lock — the barrier that makes the log replayable — so it only
 // encodes: a plain seal is 17 payload bytes, a corrected seal inlines
-// the sorted correction, and on the snapshot cadence the live
-// population is copied out for the background compactor. No fsync
-// happens here; SyncSeal defers it to Published, outside the locks.
+// the sorted correction, and on the snapshot cadence the id-indexed
+// population is cloned for the background compactor, which skips the
+// absent ids when it encodes. No fsync happens here; SyncSeal defers
+// it to Published, outside the locks.
 func (w *Writer) Sealed(ev registry.SealEvent) {
 	var drops []int
 	var wts []weightEntry
@@ -381,24 +382,16 @@ func (w *Writer) Sealed(ev registry.SealEvent) {
 		w.sealsSince++
 		if w.sealsSince >= w.opts.SnapshotEvery {
 			w.sealsSince = 0
-			p := &pendingSnap{
+			w.pending = &pendingSnap{
 				epoch: ev.Epoch,
 				rate:  ev.Rate,
 				next:  ev.Next,
 				seg:   w.seg,
 				off:   w.segOff + int64(len(w.buf)),
-				ids:   make([]int, 0, ev.Live),
-				ts:    make([]float64, 0, ev.Live),
+				t:     slices.Clone(ev.T),
 				drops: drops,
 				wts:   wts,
 			}
-			for id, t := range ev.T {
-				if t != 0 {
-					p.ids = append(p.ids, id)
-					p.ts = append(p.ts, t)
-				}
-			}
-			w.pending = p
 		}
 	}
 	w.maybeFlush()
