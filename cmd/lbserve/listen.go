@@ -102,12 +102,5 @@ func runListen(cfg listenConfig, out io.Writer) int {
 		}
 		fmt.Fprintf(out, "lbserve: write-ahead log committed under %s\n", cfg.walDir)
 	}
-	if cfg.ob != nil {
-		fmt.Fprintln(out)
-		if err := cfg.ob.Dump(out, true, false); err != nil {
-			fmt.Fprintln(os.Stderr, "lbserve:", err)
-			return 1
-		}
-	}
 	return 0
 }

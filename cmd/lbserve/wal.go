@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -19,13 +20,15 @@ import (
 	"repro/internal/wal"
 )
 
+// demoWorkers is the number of goroutines serving the demo's traffic.
+const demoWorkers = 8
+
 type walDemoConfig struct {
 	dir       string
 	sync      wal.SyncPolicy
 	snapEvery int
 	agents    int
 	ops       int
-	workers   int
 	seed      uint64
 	rate      float64
 	shards    int
@@ -57,12 +60,9 @@ func runWALDemo(cfg walDemoConfig, out io.Writer) int {
 	}
 	start := time.Now()
 	populate(r, cfg.agents, cfg.seed)
-	res := drive(r, driveConfig{
-		workers: cfg.workers, ops: cfg.ops, readFrac: 0.5,
-		sealEvery: 4096, seed: cfg.seed, met: rmet,
-	})
+	served, epochs := drive(r, cfg.ops, cfg.seed)
 	fmt.Fprintf(out, "served %d ops across %d workers in %s (%d epochs sealed)\n",
-		cfg.ops, cfg.workers, res.elapsed.Round(time.Millisecond), res.epochs)
+		cfg.ops, demoWorkers, served.Round(time.Millisecond), epochs)
 
 	// A health-style corrected epoch: eject two agents, discount one.
 	rng := rand.New(rand.NewPCG(cfg.seed, 0xda7a))
@@ -143,4 +143,59 @@ func runWALDemo(cfg walDemoConfig, out io.Writer) int {
 	fmt.Fprintf(out, "\ntotal: %s serving + %s recovery\n",
 		setup.Round(time.Millisecond), elapsed.Round(time.Millisecond))
 	return 0
+}
+
+// populate fills a fresh registry with a deterministic bid population
+// and seals the starting epoch.
+func populate(r *registry.Registry, agents int, seed uint64) {
+	rng := rand.New(rand.NewPCG(seed, 0x6c62272e07bb0142))
+	for i := 0; i < agents; i++ {
+		if _, err := r.Add(0.1 + 10*rng.Float64()); err != nil {
+			panic(err) // bids are drawn positive; unreachable
+		}
+	}
+	r.Seal()
+}
+
+// drive serves ops operations split across demoWorkers goroutines and
+// reports the wall-clock time and the number of epochs sealed. Half
+// the operations read the current snapshot (a load and an
+// exclusion-latency query), the other half rebid an agent in the
+// worker's own id stripe, and worker 0 seals every 4096 operations of
+// the total. Each worker's draws are seeded by its index, so the final
+// bids do not depend on scheduling.
+func drive(r *registry.Registry, ops int, seed uint64) (time.Duration, uint64) {
+	agents := r.Live()
+	epoch0 := r.Snapshot().Epoch()
+	const sealEvery = 4096 / demoWorkers
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < demoWorkers; w++ {
+		n := ops / demoWorkers
+		if w == 0 {
+			n += ops % demoWorkers
+		}
+		wg.Add(1)
+		go func(w, n int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, uint64(w)+1))
+			lo := w * agents / demoWorkers
+			hi := (w + 1) * agents / demoWorkers
+			for i := 0; i < n; i++ {
+				if rng.Float64() < 0.5 {
+					snap := r.Snapshot()
+					id := rng.IntN(agents)
+					snap.Load(id)
+					snap.ExclusionLatency(id)
+				} else if err := r.Update(lo+rng.IntN(hi-lo), 0.1+10*rng.Float64()); err != nil {
+					panic(err) // own-stripe ids are always live; unreachable
+				}
+				if w == 0 && i%sealEvery == sealEvery-1 {
+					r.Seal()
+				}
+			}
+		}(w, n)
+	}
+	wg.Wait()
+	return time.Since(start), r.Snapshot().Epoch() - epoch0
 }

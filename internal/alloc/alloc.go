@@ -61,25 +61,7 @@ func checkT(i int, t float64) error {
 // It returns a *ValueError if the rate is negative or non-finite or
 // any t_i is non-positive or non-finite.
 func Proportional(ts []float64, rate float64) ([]float64, error) {
-	if err := checkRate(rate); err != nil {
-		return nil, err
-	}
-	if len(ts) == 0 {
-		return nil, errNoComputers
-	}
-	var inv numeric.KahanSum
-	for i, t := range ts {
-		if err := checkT(i, t); err != nil {
-			return nil, err
-		}
-		inv.Add(1 / t)
-	}
-	s := inv.Value()
-	x := make([]float64, len(ts))
-	for i, t := range ts {
-		x[i] = rate / (t * s)
-	}
-	return x, nil
+	return ProportionalInto(nil, ts, rate)
 }
 
 // OptimalLatencyLinear returns the minimum total latency for linear
@@ -135,9 +117,7 @@ func Feasible(x []float64, rate, tol float64) bool {
 
 // Exclude returns ts with index i removed, without modifying ts.
 func Exclude(ts []float64, i int) []float64 {
-	out := make([]float64, 0, len(ts)-1)
-	out = append(out, ts[:i]...)
-	return append(out, ts[i+1:]...)
+	return ExcludeInto(make([]float64, len(ts)-1), ts, i)
 }
 
 // Optimal computes the total-latency-minimizing feasible allocation for

@@ -103,7 +103,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	n := cfg.Tree.N()
-	inj := faults.Merge(cfg.Faults)
+	inj := cfg.Faults
+	if inj == nil {
+		inj = faults.None
+	}
 	dead := func(i int) bool {
 		c := inj.Class(i)
 		return c == faults.NodeCrashed || c == faults.NodeSilent

@@ -311,34 +311,26 @@ func (e *IndexError) Error() string {
 }
 
 // CheckNodes returns a *IndexError when inj's node faults address a
-// node id outside [0, n) (the smallest such id of the first offending
-// plan), or nil. It inspects Plans, directly or inside Merge; other
-// injectors (Remap views, which speak local ids by construction,
-// FlapPhase wrappers, custom implementations) are not inspected.
+// node id outside [0, n) (the smallest such id), or nil. It inspects
+// Plans only; other injectors (Remap views, which speak local ids by
+// construction, FlapPhase wrappers, custom implementations) are not
+// inspected.
 // Consumers call it on the plan they were handed, so a fault aimed at
 // a node that does not exist is an input error rather than a silent
 // no-op.
 func CheckNodes(inj Injector, n int) error {
-	switch in := inj.(type) {
-	case *Plan:
-		if in == nil {
-			return nil
+	p, ok := inj.(*Plan)
+	if !ok || p == nil {
+		return nil
+	}
+	var bad *IndexError
+	for node := range p.nodes {
+		if (node < 0 || node >= n) && (bad == nil || node < bad.Node) {
+			bad = &IndexError{Node: node, N: n}
 		}
-		var bad *IndexError
-		for node := range in.nodes {
-			if (node < 0 || node >= n) && (bad == nil || node < bad.Node) {
-				bad = &IndexError{Node: node, N: n}
-			}
-		}
-		if bad != nil {
-			return bad
-		}
-	case merged:
-		for _, c := range in {
-			if err := CheckNodes(c, n); err != nil {
-				return err
-			}
-		}
+	}
+	if bad != nil {
+		return bad
 	}
 	return nil
 }
@@ -600,87 +592,6 @@ func joinNodes(ns []int) string {
 
 // None is the injector that injects nothing.
 var None Injector = (*Plan)(nil)
-
-// Merge combines injectors: a message is dropped/duplicated/delayed
-// if any constituent says so (delays add), and node faults come from
-// the first constituent that reports a non-healthy class. Nil
-// constituents are skipped; Merge of nothing returns None.
-func Merge(injs ...Injector) Injector {
-	var live []Injector
-	for _, in := range injs {
-		if in == nil || in == Injector(nil) {
-			continue
-		}
-		if p, ok := in.(*Plan); ok && p.Empty() {
-			continue
-		}
-		live = append(live, in)
-	}
-	switch len(live) {
-	case 0:
-		return None
-	case 1:
-		return live[0]
-	}
-	return merged(live)
-}
-
-type merged []Injector
-
-func (m merged) Deliver(msg Message) Decision {
-	var d Decision
-	for _, in := range m {
-		di := in.Deliver(msg)
-		d.Drop = d.Drop || di.Drop
-		d.Duplicate = d.Duplicate || di.Duplicate
-		d.ExtraDelay += di.ExtraDelay
-	}
-	return d
-}
-
-func (m merged) Class(node int) NodeClass {
-	for _, in := range m {
-		if c := in.Class(node); c != NodeHealthy {
-			return c
-		}
-	}
-	return NodeHealthy
-}
-
-func (m merged) Stall(node int) (float64, int) {
-	for _, in := range m {
-		if d, k := in.Stall(node); k > 0 {
-			return d, k
-		}
-	}
-	return 0, 0
-}
-
-func (m merged) ClaimFactor(node int) float64 {
-	for _, in := range m {
-		if f := in.ClaimFactor(node); f != 1 {
-			return f
-		}
-	}
-	return 1
-}
-
-func (m merged) FlapSpec(node int) (int, float64, float64) {
-	for _, in := range m {
-		if p, d, s := FlapSpec(in, node); p > 0 {
-			return p, d, s
-		}
-	}
-	return 0, 0, 0
-}
-
-func (m merged) Reseed(salt uint64) Injector {
-	out := make(merged, len(m))
-	for i, in := range m {
-		out[i] = Reseed(in, salt)
-	}
-	return out
-}
 
 // Reseed re-keys an injector's message decisions when it supports it
 // (see Reseeder) and returns it unchanged otherwise. Salt 0 is the

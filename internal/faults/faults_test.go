@@ -125,24 +125,6 @@ func TestRemapTranslatesNodeIDs(t *testing.T) {
 	}
 }
 
-func TestMergeCombines(t *testing.T) {
-	a := New(1, Crash(1))
-	b := New(2, Byzantine(1.1, 2), Drop(1))
-	m := Merge(nil, a, New(9), b)
-	if m.Class(1) != NodeCrashed || m.Class(2) != NodeByzantine {
-		t.Error("merge lost node faults")
-	}
-	if !m.Deliver(Message{Seq: 0}).Drop {
-		t.Error("merge lost the drop-all plan")
-	}
-	if Merge() != None {
-		t.Error("empty merge should be None")
-	}
-	if Merge(a) != Injector(a) {
-		t.Error("single merge should be the injector itself")
-	}
-}
-
 func TestTransportCountsAndDelivers(t *testing.T) {
 	eng := sim.New()
 	tr := &Transport{Eng: eng, Inj: None, Hop: 0.001}
@@ -286,12 +268,11 @@ func TestFlapSpecAndPhase(t *testing.T) {
 
 func TestFlapSurvivesMergeRemapReseed(t *testing.T) {
 	p := New(1, Flap(4, 0.25, 7))
-	m := Merge(p, New(2, Drop(0.1)))
-	if period, duty, _ := FlapSpec(m, 7); period != 4 || duty != 0.25 {
-		t.Fatalf("merged FlapSpec = %d,%g", period, duty)
+	if period, duty, _ := FlapSpec(p, 7); period != 4 || duty != 0.25 {
+		t.Fatalf("FlapSpec = %d,%g", period, duty)
 	}
 	// Remap: local node 0 is original node 7.
-	r := Remap(m, []int{7})
+	r := Remap(p, []int{7})
 	if period, _, _ := FlapSpec(r, 0); period != 4 {
 		t.Fatalf("remapped FlapSpec lost the schedule")
 	}
@@ -347,10 +328,6 @@ func TestCheckNodes(t *testing.T) {
 	err := CheckNodes(New(1, Crash(9, 7), Silent(-2), Byzantine(1.2, 1)), 4)
 	if !errors.As(err, &ie) || ie.Node != -2 || ie.N != 4 {
 		t.Errorf("plan: err = %v, want the smallest bad node -2", err)
-	}
-	err = CheckNodes(Merge(New(1, Drop(0.1)), New(2, Byzantine(1.2, 4))), 4)
-	if !errors.As(err, &ie) || ie.Node != 4 {
-		t.Errorf("merged: err = %v, want node 4", err)
 	}
 	// A Remap view speaks local ids; the original plan's ids are not
 	// the view's to check.

@@ -107,7 +107,10 @@ func (e *Engine) Run(cfg Config) (*Result, error) {
 	if err := faults.CheckNodes(cfg.Faults, n); err != nil {
 		return nil, err
 	}
-	inj := faults.Merge(cfg.Faults)
+	inj := cfg.Faults
+	if inj == nil {
+		inj = faults.None
+	}
 
 	met := cfg.Obs.RoundMetrics()
 	fm := cfg.Obs.FaultMetrics()

@@ -113,9 +113,9 @@ type shard struct {
 
 	// Neumaier running partial of 1/ts over live ids, maintained as a
 	// delta per mutation and rebuilt every rebuildEvery mutations.
-	psum, pcomp float64
-	muts        int
-	live        int
+	part numeric.KahanSum
+	muts int
+	live int
 
 	_ [40]byte // pad to 128 bytes: hot shard fields off shared cache lines
 }
@@ -239,7 +239,7 @@ func (r *Registry) apply(sh *shard, kind BatchKind, id int, t float64, j Journal
 			sh.stamp = append(sh.stamp, 0)
 		}
 		sh.ts[local], sh.stamp[local] = t, r.epoch.Load()
-		sh.padd(1 / t)
+		sh.part.Add(1 / t)
 		sh.live++
 		sh.bump(r.met)
 		if j != nil {
@@ -255,8 +255,8 @@ func (r *Registry) apply(sh *shard, kind BatchKind, id int, t float64, j Journal
 		now := r.epoch.Load()
 		coalesced = sh.stamp[local] == now
 		sh.stamp[local] = now
-		sh.padd(1 / t)
-		sh.padd(-1 / old)
+		sh.part.Add(1 / t)
+		sh.part.Add(-1 / old)
 		sh.ts[local] = t
 		sh.bump(r.met)
 		if j != nil {
@@ -264,7 +264,7 @@ func (r *Registry) apply(sh *shard, kind BatchKind, id int, t float64, j Journal
 		}
 		return BatchOK, coalesced
 	}
-	sh.padd(-1 / old)
+	sh.part.Add(-1 / old)
 	sh.ts[local] = 0
 	sh.live--
 	sh.bump(r.met)
@@ -309,7 +309,7 @@ func (r *Registry) ApproxSum() float64 {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		k.Add(sh.psum + sh.pcomp)
+		k.Add(sh.part.Value())
 		sh.mu.Unlock()
 	}
 	return k.Value()
@@ -490,17 +490,6 @@ func (sh *shard) bid(local int) float64 {
 	return sh.ts[local]
 }
 
-// padd accumulates v into the shard's Neumaier partial.
-func (sh *shard) padd(v float64) {
-	t := sh.psum + v
-	if abs(sh.psum) >= abs(v) {
-		sh.pcomp += (sh.psum - t) + v
-	} else {
-		sh.pcomp += (v - t) + sh.psum
-	}
-	sh.psum = t
-}
-
 // bump counts a mutation and rebuilds the running partial from the
 // live bids when the drift budget is spent. Called with the shard
 // lock held.
@@ -516,7 +505,9 @@ func (sh *shard) bump(met *obs.RegistryMetrics) {
 			k.Add(1 / v)
 		}
 	}
-	sh.psum, sh.pcomp = k.Value(), 0
+	// Restart the partial at the rebuilt sum with zero compensation.
+	sh.part = numeric.KahanSum{}
+	sh.part.Add(k.Value())
 	met.Rebuilt()
 }
 
@@ -527,13 +518,6 @@ func shardBits(mask int) int {
 		bits++
 	}
 	return bits
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func unknownID(id int) error {

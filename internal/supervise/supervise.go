@@ -422,7 +422,10 @@ func Run(cfg distmech.Config, opts Options) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return report, &AbortError{Class: ClassConfig, Err: err}
 	}
-	inj := faults.Merge(cfg.Faults)
+	inj := cfg.Faults
+	if inj == nil {
+		inj = faults.None
+	}
 
 	base := cfg
 	base.Faults = nil

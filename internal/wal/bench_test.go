@@ -18,7 +18,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	for _, pol := range []SyncPolicy{SyncNone, SyncBatch} {
 		b.Run(pol.String(), func(b *testing.B) {
 			dir := b.TempDir()
-			w, err := Create(dir, Options{Sync: pol})
+			_, w, _, err := Open(dir, Options{Sync: pol}, registry.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -42,11 +42,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // bytes/sec figure is replay throughput over the log size.
 func benchmarkRecover(b *testing.B, records int) {
 	dir := b.TempDir()
-	w, err := Create(dir, Options{Sync: SyncNone})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := registry.New(registry.Config{Rate: 100, Shards: 64, Journal: w})
+	r, w, _, err := Open(dir, Options{Sync: SyncNone}, registry.Config{Rate: 100, Shards: 64})
 	if err != nil {
 		b.Fatal(err)
 	}

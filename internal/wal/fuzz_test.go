@@ -19,11 +19,7 @@ import (
 func fuzzSeedLog(tb testing.TB) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
-	w, err := Create(dir, Options{Sync: SyncNone})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	r, err := registry.New(registry.Config{Rate: 5, Shards: 2, Journal: w})
+	r, w, _, err := Open(dir, Options{Sync: SyncNone}, registry.Config{Rate: 5, Shards: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}

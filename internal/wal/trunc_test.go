@@ -33,11 +33,7 @@ type modelOp struct {
 // of every sealed epoch.
 func truncHistory(t *testing.T, dir string, snapshotEvery int) ([]modelOp, []truncMark, map[uint64]sealRec) {
 	t.Helper()
-	w, err := Create(dir, Options{Sync: SyncNone, SnapshotEvery: snapshotEvery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := registry.New(registry.Config{Rate: 10, Shards: 4, Journal: w})
+	r, w, _, err := Open(dir, Options{Sync: SyncNone, SnapshotEvery: snapshotEvery}, registry.Config{Rate: 10, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

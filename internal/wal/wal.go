@@ -14,8 +14,7 @@
 // records (plain, or corrected with the health adjustment inlined).
 // Appends group-commit: records accumulate in a memory buffer that is
 // written to the segment in batches, and fsync runs under a
-// configurable policy (every batch, every seal, on an interval, or
-// never). The append path allocates nothing in steady state.
+// configurable policy (every batch, every seal, or never). The append path allocates nothing in steady state.
 //
 // Why replaying the log reproduces sealed epochs exactly: a sealed
 // epoch is a pure function of the live (id, bid) set, the rate and the

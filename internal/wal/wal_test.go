@@ -128,11 +128,7 @@ func TestRecoveryMatchesLiveHistory(t *testing.T) {
 				if seed%2 == 0 {
 					opts.SnapshotEvery = 3
 				}
-				w, err := Create(dir, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := registry.New(registry.Config{Rate: 50, Shards: shards, Journal: w})
+				r, w, _, err := Open(dir, opts, registry.Config{Rate: 50, Shards: shards})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -255,11 +251,7 @@ func TestConcurrentJournalRecovery(t *testing.T) {
 		t    float64
 	}
 	dir := t.TempDir()
-	w, err := Create(dir, Options{Sync: SyncNone, SnapshotEvery: 4, SegmentBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := registry.New(registry.Config{Rate: 25, Shards: 8, Journal: w})
+	r, w, _, err := Open(dir, Options{Sync: SyncNone, SnapshotEvery: 4, SegmentBytes: 64 << 10}, registry.Config{Rate: 25, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,11 +446,7 @@ func TestRestartContinues(t *testing.T) {
 func TestSyncPolicies(t *testing.T) {
 	t.Run("seal-durable", func(t *testing.T) {
 		dir := t.TempDir()
-		w, err := Create(dir, Options{Sync: SyncSeal})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := registry.New(registry.Config{Rate: 10, Shards: 4, Journal: w})
+		r, w, _, err := Open(dir, Options{Sync: SyncSeal}, registry.Config{Rate: 10, Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,11 +473,7 @@ func TestSyncPolicies(t *testing.T) {
 	})
 	t.Run("none-loses-buffer", func(t *testing.T) {
 		dir := t.TempDir()
-		w, err := Create(dir, Options{Sync: SyncNone})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := registry.New(registry.Config{Rate: 10, Shards: 4, Journal: w})
+		r, w, _, err := Open(dir, Options{Sync: SyncNone}, registry.Config{Rate: 10, Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,32 +493,18 @@ func TestSyncPolicies(t *testing.T) {
 		}
 	})
 	t.Run("parse", func(t *testing.T) {
-		for _, s := range []string{"batch", "seal", "interval", "none"} {
+		for _, s := range []string{"batch", "seal", "none"} {
 			p, err := ParseSyncPolicy(s)
 			if err != nil || p.String() != s {
 				t.Fatalf("round trip %q: %v (%v)", s, p, err)
 			}
 		}
-		if _, err := ParseSyncPolicy("bogus"); err == nil {
-			t.Fatalf("bogus policy accepted")
+		for _, s := range []string{"interval", "os", "bogus"} {
+			if _, err := ParseSyncPolicy(s); err == nil {
+				t.Fatalf("policy %q accepted", s)
+			}
 		}
 	})
-}
-
-// TestCreateRefusesExistingLog: Create on a directory with a log must
-// fail (Open recovers it instead).
-func TestCreateRefusesExistingLog(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Create(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Create(dir, Options{}); err == nil {
-		t.Fatalf("Create over an existing log succeeded")
-	}
 }
 
 // TestCompactionAndSnapshotFallback drives enough traffic through a
@@ -543,11 +513,7 @@ func TestCreateRefusesExistingLog(t *testing.T) {
 // corrupted, which must fall back to the previous one.
 func TestCompactionAndSnapshotFallback(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, Options{Sync: SyncNone, SegmentBytes: 4 << 10, SnapshotEvery: 2, BatchBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := registry.New(registry.Config{Rate: 10, Shards: 4, Journal: w})
+	r, w, _, err := Open(dir, Options{Sync: SyncNone, SegmentBytes: 4 << 10, SnapshotEvery: 2, BatchBytes: 512}, registry.Config{Rate: 10, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +673,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 // TestWALAppendAllocFree pins the zero-allocation append path.
 func TestWALAppendAllocFree(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, Options{Sync: SyncNone})
+	_, w, _, err := Open(dir, Options{Sync: SyncNone}, registry.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

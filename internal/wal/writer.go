@@ -30,8 +30,6 @@ const (
 	// published epoch durable while mutations between epochs ride on
 	// the batch cadence unsynced.
 	SyncSeal
-	// SyncInterval fsyncs on a background timer (Options.SyncInterval).
-	SyncInterval
 	// SyncNone never fsyncs; the OS page cache decides. Fastest, and a
 	// crash can lose everything the kernel had not written back.
 	SyncNone
@@ -44,12 +42,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		return SyncBatch, nil
 	case "seal":
 		return SyncSeal, nil
-	case "interval":
-		return SyncInterval, nil
-	case "none", "os":
+	case "none":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("wal: unknown sync policy %q (want batch, seal, interval or none)", s)
+	return 0, fmt.Errorf("wal: unknown sync policy %q (want batch, seal or none)", s)
 }
 
 func (p SyncPolicy) String() string {
@@ -58,8 +54,6 @@ func (p SyncPolicy) String() string {
 		return "batch"
 	case SyncSeal:
 		return "seal"
-	case SyncInterval:
-		return "interval"
 	case SyncNone:
 		return "none"
 	}
@@ -70,9 +64,6 @@ func (p SyncPolicy) String() string {
 type Options struct {
 	// Sync is the fsync policy (default SyncBatch).
 	Sync SyncPolicy
-	// SyncInterval is the fsync cadence under SyncInterval (default
-	// 50ms).
-	SyncInterval time.Duration
 	// SegmentBytes rotates the log to a new segment file once the
 	// current one exceeds this size (default 64 MiB). Records never
 	// span segments.
@@ -90,9 +81,6 @@ type Options struct {
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 50 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
@@ -157,29 +145,6 @@ type Writer struct {
 	wg     sync.WaitGroup
 }
 
-// Create opens a fresh write-ahead log in dir (created if missing).
-// It refuses a directory that already holds segments or snapshots —
-// recover those with Open instead of silently shadowing them.
-func Create(dir string, opts Options) (*Writer, error) {
-	w, err := newWriter(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	segs, snaps, err := scanDir(dir)
-	if err == nil && (len(segs) > 0 || len(snaps) > 0) {
-		err = fmt.Errorf("wal: %s already holds a log (%d segments, %d snapshots); use Open to recover it", dir, len(segs), len(snaps))
-	}
-	if err == nil {
-		err = w.createSegment(1)
-	}
-	if err != nil {
-		w.dirf.Close()
-		return nil, err
-	}
-	w.start()
-	return w, nil
-}
-
 // newWriter builds the common writer state (no segment yet, background
 // goroutines not started).
 func newWriter(dir string, opts Options) (*Writer, error) {
@@ -202,15 +167,10 @@ func newWriter(dir string, opts Options) (*Writer, error) {
 	}, nil
 }
 
-// start launches the background compactor and, under SyncInterval, the
-// fsync timer.
+// start launches the background compactor.
 func (w *Writer) start() {
 	w.wg.Add(1)
 	go w.snapLoop()
-	if w.opts.Sync == SyncInterval {
-		w.wg.Add(1)
-		go w.syncLoop()
-	}
 }
 
 // createSegment opens segment seq and writes its header. Called with
@@ -563,21 +523,6 @@ func (w *Writer) Abandon() {
 	close(w.stop)
 	w.wg.Wait()
 	w.dirf.Close()
-}
-
-// syncLoop is the SyncInterval timer.
-func (w *Writer) syncLoop() {
-	defer w.wg.Done()
-	tick := time.NewTicker(w.opts.SyncInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			w.Sync()
-		case <-w.stop:
-			return
-		}
-	}
 }
 
 // snapLoop serializes captured snapshots and compacts the log behind
